@@ -376,7 +376,7 @@ fn wire_chaos(seed: u64, lines: &mut Vec<String>) {
     }
 
     proxy.stop();
-    server.engine().shutdown();
+    server.handler().shutdown();
 }
 
 /// Check helper: push `[ok] label` / `[VIOLATED] label: why`.

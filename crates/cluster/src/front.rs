@@ -2,26 +2,20 @@
 //! speak, so any existing [`Client`](pardict_service::Client) can point
 //! at a cluster instead of a single node without changing a byte —
 //! except that container grep comes back as the richer
-//! [`WireResponse::ClusterHits`] carrying the degraded-mode flag.
+//! [`WireResponse::ClusterHits`] carrying the degraded-mode flag. The
+//! transport is the service's generic [`Front`]; this module only adds
+//! the router's [`Handler`].
 
 use crate::router::{ClusterError, Router};
-use pardict_service::wire::{self, read_frame, write_frame, WireRequest, WireResponse};
-use pardict_service::ServiceError;
-use pardict_trace::{SpanId, TraceCtx, TraceId};
+use pardict_service::wire::{WireRequest, WireResponse};
+use pardict_service::{Front, Handler, ServiceError};
+use pardict_trace::{TraceCtx, Tracer};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// A running cluster front end bound to a local address.
-pub struct RouterServer {
-    router: Arc<Router>,
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-}
+pub struct RouterServer(Front<Router>);
 
 impl RouterServer {
     /// Bind `addr` (port 0 for ephemeral) and start accepting.
@@ -29,84 +23,25 @@ impl RouterServer {
     /// # Errors
     /// Socket bind/configuration failures.
     pub fn start(router: Arc<Router>, addr: impl ToSocketAddrs) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept_router = Arc::clone(&router);
-        let accept_stop = Arc::clone(&stop);
-        let accept_thread = std::thread::Builder::new()
-            .name("pardict-cluster-accept".into())
-            .spawn(move || accept_loop(&listener, &accept_router, &accept_stop))
-            .expect("spawn cluster accept thread");
-        Ok(Self {
-            router,
-            addr,
-            stop,
-            accept_thread: Some(accept_thread),
-        })
+        Front::start(router, addr).map(Self)
     }
 
     /// The bound address.
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.0.addr()
     }
 
     /// The router this server fronts.
     #[must_use]
     pub fn router(&self) -> &Arc<Router> {
-        &self.router
+        self.0.handler()
     }
 
     /// Stop accepting; existing connections drain on client EOF.
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
+        self.0.stop();
     }
-}
-
-impl Drop for RouterServer {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-fn accept_loop(listener: &TcpListener, router: &Arc<Router>, stop: &Arc<AtomicBool>) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let router = Arc::clone(router);
-                let _ = std::thread::Builder::new()
-                    .name("pardict-cluster-conn".into())
-                    .spawn(move || {
-                        let _ = serve_connection(stream, &router);
-                    });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
-        }
-    }
-}
-
-fn serve_connection(stream: TcpStream, router: &Router) -> io::Result<()> {
-    let mut reader = stream.try_clone()?;
-    let mut writer = stream;
-    while let Some(payload) = read_frame(&mut reader)? {
-        let resp = match WireRequest::decode(&payload) {
-            Err(e) => WireResponse::Error {
-                code: ServiceError::BadRequest(String::new()).code(),
-                message: format!("malformed request: {e}"),
-            },
-            Ok(req) => handle(router, req),
-        };
-        write_frame(&mut writer, &resp.encode())?;
-    }
-    Ok(())
 }
 
 fn error_response(e: &ClusterError) -> WireResponse {
@@ -114,105 +49,68 @@ fn error_response(e: &ClusterError) -> WireResponse {
     WireResponse::Error { code, message }
 }
 
-fn handle(router: &Router, req: WireRequest) -> WireResponse {
-    // Unwrap the trace envelope first: the context only takes effect when
-    // this router is actually tracing (a tracer-less router serves the
-    // inner request and drops the context on the floor, by design).
-    let (req, trace) = match req {
-        WireRequest::Traced {
-            trace,
-            parent,
-            inner,
-        } => {
-            let ctx = router.tracer().is_some().then_some(TraceCtx {
-                trace: TraceId(trace),
-                parent: SpanId(parent),
-            });
-            (*inner, ctx)
-        }
-        other => (other, None),
-    };
-    match req {
-        WireRequest::Ping => WireResponse::Pong,
-        WireRequest::Hello { extensions: _ } => WireResponse::Hello {
-            // The front accepts delta publishes unconditionally (it
-            // converts them per shard as needed); tracing only when a
-            // tracer exists.
-            extensions: wire::EXT_DELTA
-                | if router.tracer().is_some() {
-                    wire::EXT_TRACE
-                } else {
-                    0
-                },
-        },
-        WireRequest::Traced { .. } => unreachable!("nested Traced rejected by the decoder"),
-        WireRequest::Dicts => WireResponse::DictList(router.dict_digests()),
-        WireRequest::Metrics => WireResponse::MetricsReport(router.report()),
-        WireRequest::Stats => match router.merged_stats() {
-            Ok((snap, _degraded)) => WireResponse::Stats(snap),
-            Err(e) => error_response(&e),
-        },
-        WireRequest::Publish { name, patterns } => match router.publish(&name, &patterns) {
-            Ok(summary) => WireResponse::Published {
-                version: summary.version,
-                cache_hit: false,
-            },
-            Err(e) => error_response(&e),
-        },
-        WireRequest::PubDelta {
-            name,
-            parent_version,
-            adds,
-            removes,
-        } => {
-            // The router's own view is authoritative for the parent: a
-            // client delta against a superseded version is refused the
-            // same way a single node refuses it.
-            let current = router
-                .dict_digests()
-                .into_iter()
-                .find(|(n, _, _)| *n == name)
-                .map(|(_, v, _)| v);
-            if current != Some(parent_version) {
-                return WireResponse::Error {
-                    code: ServiceError::BadRequest(String::new()).code(),
-                    message: format!(
-                        "delta parent version {parent_version} does not match current {current:?}"
-                    ),
-                };
+impl Handler for Router {
+    fn tracer(&self) -> Option<&Arc<Tracer>> {
+        Router::tracer(self)
+    }
+
+    fn handle(&self, req: WireRequest, trace: Option<TraceCtx>) -> WireResponse {
+        match req {
+            WireRequest::Ping | WireRequest::Hello { .. } | WireRequest::Traced { .. } => {
+                unreachable!("answered by the front")
             }
-            match router.publish_delta(&name, &pardict_core::DictDelta { adds, removes }) {
+            WireRequest::Dicts => WireResponse::DictList(self.dict_digests()),
+            WireRequest::Metrics => WireResponse::MetricsReport(self.report()),
+            WireRequest::Stats => match self.merged_stats() {
+                Ok((snap, _degraded)) => WireResponse::Stats(snap),
+                Err(e) => error_response(&e),
+            },
+            WireRequest::Publish { name, patterns } => match self.publish(&name, &patterns) {
                 Ok(summary) => WireResponse::Published {
                     version: summary.version,
                     cache_hit: false,
                 },
                 Err(e) => error_response(&e),
+            },
+            WireRequest::PubDelta {
+                name,
+                parent_version,
+                adds,
+                removes,
+            } => {
+                // The router's own view is authoritative for the parent: a
+                // client delta against a superseded version is refused the
+                // same way a single node refuses it.
+                let current = self
+                    .dict_digests()
+                    .into_iter()
+                    .find(|(n, _, _)| *n == name)
+                    .map(|(_, v, _)| v);
+                if current != Some(parent_version) {
+                    return WireResponse::Error {
+                        code: ServiceError::BadRequest(String::new()).code(),
+                        message: format!(
+                            "delta parent version {parent_version} does not match current {current:?}"
+                        ),
+                    };
+                }
+                match self.publish_delta(&name, &pardict_core::DictDelta { adds, removes }) {
+                    Ok(summary) => WireResponse::Published {
+                        version: summary.version,
+                        cache_hit: false,
+                    },
+                    Err(e) => error_response(&e),
+                }
             }
-        }
-        WireRequest::Op {
-            tag,
-            dict,
-            text,
-            timeout_ms,
-        } => {
-            if !matches!(
+            WireRequest::Op {
                 tag,
-                wire::tag::MATCH
-                    | wire::tag::GREP
-                    | wire::tag::COMPRESS
-                    | wire::tag::PARSE
-                    | wire::tag::GREPZ
-            ) {
-                return WireResponse::Error {
-                    code: ServiceError::BadRequest(String::new()).code(),
-                    message: format!("unknown op tag {tag}"),
-                };
-            }
-            let routed = router.op_traced(tag, &dict, &text, timeout_ms, trace);
-            match routed.result {
+                dict,
+                text,
+                timeout_ms,
+            } => match self.op_traced(tag, &dict, &text, timeout_ms, trace).result {
                 Ok(resp) => resp,
                 Err(e) => error_response(&e),
-            }
+            },
         }
     }
 }

@@ -9,8 +9,6 @@
 //!   randomized optimal one (see DESIGN.md substitution table).
 //! * **Rooted forests**: [`Forest`] — parent-array forests with child
 //!   adjacency built by stable integer sorting.
-//! * **Level ancestors**: [`LevelAncestors`] — jump-pointer level/ kth
-//!   ancestor queries (the §4 alternative to Euler-interval tests).
 //! * **Euler tours**: [`EulerTour`] — work-optimal tour construction via
 //!   random-mate list ranking; yields entry/exit times, ±1 depth sequences
 //!   (feeding the O(1) LCA structure in `pardict-rmq`), per-node tree roots
@@ -31,13 +29,11 @@
 mod cc;
 mod euler;
 mod forest;
-mod levelanc;
 mod rootfix;
 
 pub use cc::connected_components;
 pub use euler::EulerTour;
 pub use forest::Forest;
-pub use levelanc::LevelAncestors;
 pub use rootfix::{leaffix, rootfix};
 
 #[cfg(test)]

@@ -20,14 +20,17 @@
 //!   the parallel constant factors.
 //! * [`metrics::Metrics`] — lock-free counters and log₂ histograms
 //!   (latency, ledger work/depth) with a plain-text report.
-//! * [`server::Server`] / [`server::Client`] — a `std::net` TCP front end
-//!   speaking the length-prefixed [`wire`] protocol (no external
-//!   dependencies), and [`selftest::run`] driving the whole stack with a
-//!   seeded mixed workload including a mid-run hot swap.
+//! * [`front::Front`] — the one `std::net` TCP front end speaking the
+//!   length-prefixed [`wire`] protocol (no external dependencies) in
+//!   front of any [`front::Handler`]; [`server::Server`] is
+//!   `Front<Engine>` and [`server::Client`] its blocking client; and
+//!   [`selftest::run`] driving the whole stack with a seeded mixed
+//!   workload including a mid-run hot swap.
 
 #![warn(missing_docs)]
 
 pub mod engine;
+pub mod front;
 pub mod metrics;
 pub mod registry;
 pub mod selftest;
@@ -36,6 +39,7 @@ pub mod types;
 pub mod wire;
 
 pub use engine::{Engine, EngineConfig, Ticket};
+pub use front::{Front, Handler};
 pub use metrics::{HistogramSnapshot, Metrics, MetricsSnapshot, OpSnapshot};
 pub use registry::{DictVersion, PublishOutcome, Registry};
 pub use server::{Client, ClientConfig, Server};

@@ -1,211 +1,87 @@
-//! TCP front end: a `std::net` listener speaking the [`crate::wire`]
-//! protocol, plus a small blocking [`Client`].
-//!
-//! Thread-per-connection with a nonblocking accept loop so the server can
-//! stop promptly; each connection thread decodes frames, drives the shared
-//! [`Engine`], and writes one response frame per request frame.
+//! The engine's TCP server — [`Server`] is the generic
+//! [`Front`](crate::front::Front) serving an [`Engine`] — plus a small
+//! blocking [`Client`].
 
 use crate::engine::Engine;
+use crate::front::{Front, Handler};
 use crate::types::{OpRequest, Request, ServiceError};
 use crate::wire::{self, error_from_wire, read_frame, write_frame, WireRequest, WireResponse};
-use pardict_trace::{SpanId, TraceCtx, TraceId};
+use pardict_trace::{TraceCtx, Tracer};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// A running TCP server bound to a local address.
-pub struct Server {
-    engine: Engine,
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-}
+/// A running TCP server bound to a local address, fronting an [`Engine`].
+pub type Server = Front<Engine>;
 
-impl Server {
-    /// Bind `addr` (use port 0 for an ephemeral port) and start accepting.
-    ///
-    /// # Errors
-    /// Socket bind/configuration failures.
-    pub fn start(engine: Engine, addr: impl ToSocketAddrs) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept_engine = engine.clone();
-        let accept_stop = Arc::clone(&stop);
-        let accept_thread = std::thread::Builder::new()
-            .name("pardict-accept".into())
-            .spawn(move || accept_loop(&listener, &accept_engine, &accept_stop))
-            .expect("spawn accept thread");
-        Ok(Self {
-            engine,
-            addr,
-            stop,
-            accept_thread: Some(accept_thread),
-        })
+impl Handler for Engine {
+    fn tracer(&self) -> Option<&Arc<Tracer>> {
+        Engine::tracer(self)
     }
 
-    /// The bound address (useful with ephemeral ports).
-    #[must_use]
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The engine this server fronts.
-    #[must_use]
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
-    /// Stop accepting connections and join the accept thread. Existing
-    /// connections keep serving until their clients disconnect, and the
-    /// engine is not shut down — the owner decides that.
-    pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-fn accept_loop(listener: &TcpListener, engine: &Engine, stop: &Arc<AtomicBool>) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let engine = engine.clone();
-                // Detached: a connection thread exits on client EOF or I/O
-                // error. Joining here would deadlock `stop()` against
-                // clients that outlive the server handle.
-                let _ = std::thread::Builder::new()
-                    .name("pardict-conn".into())
-                    .spawn(move || {
-                        let _ = serve_connection(stream, &engine);
-                    });
+    fn handle(&self, req: WireRequest, trace: Option<TraceCtx>) -> WireResponse {
+        match req {
+            WireRequest::Ping | WireRequest::Hello { .. } | WireRequest::Traced { .. } => {
+                unreachable!("answered by the front")
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
+            WireRequest::Metrics => WireResponse::MetricsReport(self.metrics().report()),
+            WireRequest::Stats => WireResponse::Stats(self.metrics().snapshot()),
+            WireRequest::Dicts => WireResponse::DictList(self.registry().dict_digests()),
+            WireRequest::Publish { name, patterns } => {
+                match self.registry().publish(&name, patterns) {
+                    Ok(out) => WireResponse::Published {
+                        version: out.version,
+                        cache_hit: out.cache_hit,
+                    },
+                    Err(e) => WireResponse::Error {
+                        code: e.code(),
+                        message: e.to_string(),
+                    },
+                }
             }
-            Err(_) => break,
-        }
-    }
-}
-
-/// Serve one connection until EOF or an I/O error.
-fn serve_connection(stream: TcpStream, engine: &Engine) -> io::Result<()> {
-    let mut reader = stream.try_clone()?;
-    let mut writer = stream;
-    while let Some(payload) = read_frame(&mut reader)? {
-        let resp = match WireRequest::decode(&payload) {
-            Err(e) => WireResponse::Error {
-                code: ServiceError::BadRequest(String::new()).code(),
-                message: format!("malformed request: {e}"),
-            },
-            Ok(req) => handle(engine, req),
-        };
-        write_frame(&mut writer, &resp.encode())?;
-    }
-    Ok(())
-}
-
-fn handle(engine: &Engine, req: WireRequest) -> WireResponse {
-    // Strip the trace wrapper first: the context only takes effect when
-    // this engine actually has a tracer (we advertised EXT_TRACE), but a
-    // bare Traced frame from a misconfigured peer still executes cleanly.
-    let (trace, req) = match req {
-        WireRequest::Traced {
-            trace,
-            parent,
-            inner,
-        } => (
-            engine.tracer().map(|_| TraceCtx {
-                trace: TraceId(trace),
-                parent: SpanId(parent),
-            }),
-            *inner,
-        ),
-        other => (None, other),
-    };
-    match req {
-        WireRequest::Traced { .. } => unreachable!("decode rejects nested trace wrappers"),
-        WireRequest::Hello { .. } => WireResponse::Hello {
-            // Delta publish needs no per-engine state, so every modern
-            // server advertises it; tracing only when a tracer exists.
-            extensions: wire::EXT_DELTA
-                | if engine.tracer().is_some() {
-                    wire::EXT_TRACE
+            WireRequest::PubDelta {
+                name,
+                parent_version,
+                adds,
+                removes,
+            } => {
+                let delta = pardict_core::DictDelta { adds, removes };
+                match self.registry().publish_delta(&name, parent_version, &delta) {
+                    Ok(out) => WireResponse::Published {
+                        version: out.version,
+                        cache_hit: out.cache_hit,
+                    },
+                    Err(e) => WireResponse::Error {
+                        code: e.code(),
+                        message: e.to_string(),
+                    },
+                }
+            }
+            WireRequest::Op {
+                tag,
+                dict,
+                text,
+                timeout_ms,
+            } => {
+                let op = match tag {
+                    wire::tag::MATCH => OpRequest::Match { dict, text },
+                    wire::tag::GREP => OpRequest::Grep { dict, text },
+                    wire::tag::COMPRESS => OpRequest::Compress { text },
+                    wire::tag::PARSE => OpRequest::Parse { dict, text },
+                    wire::tag::GREPZ => OpRequest::GrepContainer {
+                        dict,
+                        container: text,
+                    },
+                    _ => unreachable!("decode only yields op tags"),
+                };
+                let req = if timeout_ms == 0 {
+                    Request::new(op)
                 } else {
-                    0
-                },
-        },
-        WireRequest::Ping => WireResponse::Pong,
-        WireRequest::Metrics => WireResponse::MetricsReport(engine.metrics().report()),
-        WireRequest::Stats => WireResponse::Stats(engine.metrics().snapshot()),
-        WireRequest::Dicts => WireResponse::DictList(engine.registry().dict_digests()),
-        WireRequest::Publish { name, patterns } => {
-            match engine.registry().publish(&name, patterns) {
-                Ok(out) => WireResponse::Published {
-                    version: out.version,
-                    cache_hit: out.cache_hit,
-                },
-                Err(e) => WireResponse::Error {
-                    code: e.code(),
-                    message: e.to_string(),
-                },
+                    Request::with_timeout(op, Duration::from_millis(u64::from(timeout_ms)))
+                };
+                WireResponse::from_engine(&self.call(req.traced(trace)))
             }
-        }
-        WireRequest::PubDelta {
-            name,
-            parent_version,
-            adds,
-            removes,
-        } => {
-            let delta = pardict_core::DictDelta { adds, removes };
-            match engine
-                .registry()
-                .publish_delta(&name, parent_version, &delta)
-            {
-                Ok(out) => WireResponse::Published {
-                    version: out.version,
-                    cache_hit: out.cache_hit,
-                },
-                Err(e) => WireResponse::Error {
-                    code: e.code(),
-                    message: e.to_string(),
-                },
-            }
-        }
-        WireRequest::Op {
-            tag,
-            dict,
-            text,
-            timeout_ms,
-        } => {
-            let op = match tag {
-                wire::tag::MATCH => OpRequest::Match { dict, text },
-                wire::tag::GREP => OpRequest::Grep { dict, text },
-                wire::tag::COMPRESS => OpRequest::Compress { text },
-                wire::tag::PARSE => OpRequest::Parse { dict, text },
-                wire::tag::GREPZ => OpRequest::GrepContainer {
-                    dict,
-                    container: text,
-                },
-                _ => unreachable!("decode only yields op tags"),
-            };
-            let req = if timeout_ms == 0 {
-                Request::new(op)
-            } else {
-                Request::with_timeout(op, Duration::from_millis(u64::from(timeout_ms)))
-            };
-            WireResponse::from_engine(&engine.call(req.traced(trace)))
         }
     }
 }
@@ -546,6 +422,7 @@ mod tests {
     use crate::metrics::Metrics;
     use crate::registry::Registry;
     use crate::types::Hit;
+    use std::net::TcpListener;
 
     fn test_engine() -> Engine {
         let metrics = Arc::new(Metrics::default());

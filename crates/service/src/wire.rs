@@ -12,6 +12,9 @@ use std::io::{self, Read, Write};
 /// Refuse frames larger than this (64 MiB) instead of allocating blindly.
 pub const MAX_FRAME: u32 = 64 << 20;
 
+/// Most a frame read reserves before its bytes arrive (64 KiB).
+const READ_RESERVE: usize = 64 << 10;
+
 /// Request tags (first payload byte, client → server).
 pub mod tag {
     /// Publish a dictionary: `name, count, patterns…`.
@@ -80,8 +83,17 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             format!("frame of {len} bytes exceeds {MAX_FRAME}"),
         ));
     }
-    let mut buf = vec![0u8; len as usize];
-    r.read_exact(&mut buf)?;
+    // Grow with the bytes that actually arrive: the prefix is the peer's
+    // claim, so it may size at most READ_RESERVE up front.
+    let len = len as usize;
+    let mut buf = Vec::with_capacity(len.min(READ_RESERVE));
+    r.take(len as u64).read_to_end(&mut buf)?;
+    if buf.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("frame body ended after {} of {len} bytes", buf.len()),
+        ));
+    }
     Ok(Some(buf))
 }
 
@@ -879,6 +891,36 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(&(MAX_FRAME + 1).to_be_bytes());
         assert!(read_frame(&mut &buf[..]).is_err());
+    }
+
+    /// Serves `data` and records the largest slice `read` is offered.
+    struct ProbeReader<'a> {
+        data: &'a [u8],
+        largest: usize,
+    }
+
+    impl Read for ProbeReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            self.data.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_hostile_length_prefix_reserves_no_more_than_the_cap() {
+        let mut data = MAX_FRAME.to_be_bytes().to_vec();
+        data.extend_from_slice(b"ten bytes!");
+        let mut r = ProbeReader {
+            data: &data,
+            largest: 0,
+        };
+        let err = read_frame(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(
+            r.largest <= READ_RESERVE,
+            "read offered a {}-byte slice",
+            r.largest
+        );
     }
 
     #[test]

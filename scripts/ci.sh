@@ -192,4 +192,9 @@ echo "== soak smoke slice"
 # #[ignore]d suites run via scripts/soak.sh on their own budget).
 cargo test -q --release --test soak
 
+echo "== perfbench build + unit tests"
+# The benchmark is its own workspace over crates/*; building it here
+# catches API changes (Server, RouterServer, Client) that would break it.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "ci.sh: all green"

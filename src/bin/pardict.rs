@@ -745,7 +745,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     eprintln!(
         "pardict: listening on {} ({} workers); stop with ^C",
         server.addr(),
-        server.engine().config().workers
+        server.handler().config().workers
     );
     loop {
         std::thread::sleep(std::time::Duration::from_secs(3600));

@@ -5,13 +5,18 @@
 
 use pardict::chaos::{ChaosProxy, ClientFault};
 use pardict::cluster::selftest::{self, Options};
-use pardict::cluster::{ClusterConfig, ClusterError, Router};
+use pardict::cluster::{ClusterConfig, ClusterError, Router, RouterServer};
 use pardict::prelude::*;
-use pardict::service::{OpRequest, Reply, Request, Server, ServiceError};
+use pardict::service::wire::{self, read_frame, write_frame, WireRequest, WireResponse};
+use pardict::service::{
+    Engine, Metrics, OpRequest, Registry, Reply, Request, Server, ServiceError,
+};
+use pardict::trace::{TraceConfig, Tracer};
 use pardict::workloads::random_dictionary;
 use proptest::prelude::*;
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Strategy: NUL-free byte strings over a small alphabet (dense repeats).
 fn small_alpha_text(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
@@ -221,4 +226,91 @@ fn unknown_dictionary_is_an_app_error_not_a_failover() {
 
     router.shutdown();
     teardown(engines, servers);
+}
+
+/// What every front owes its clients, checked over a raw socket: `Ping`,
+/// the `Hello` mask, a bare `Traced` frame running its inner request
+/// (whether or not the front traces), and a malformed frame answered
+/// with `BadRequest` on a connection that stays usable.
+fn assert_front_conforms(addr: SocketAddr, traced: bool) {
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut ask = |payload: &[u8]| {
+        write_frame(&mut conn, payload).expect("send");
+        let reply = read_frame(&mut conn).expect("recv").expect("reply");
+        WireResponse::decode(&reply).expect("decode reply")
+    };
+
+    assert_eq!(ask(&WireRequest::Ping.encode()), WireResponse::Pong);
+    let hello = WireRequest::Hello {
+        extensions: wire::EXT_TRACE | wire::EXT_DELTA,
+    };
+    let mask = wire::EXT_DELTA | if traced { wire::EXT_TRACE } else { 0 };
+    assert_eq!(
+        ask(&hello.encode()),
+        WireResponse::Hello { extensions: mask }
+    );
+
+    let op = WireRequest::Op {
+        tag: wire::tag::MATCH,
+        dict: "d".into(),
+        text: b"banana".to_vec(),
+        timeout_ms: 0,
+    };
+    let bare = ask(&op.encode());
+    assert!(matches!(bare, WireResponse::Hits { .. }), "{bare:?}");
+    let wrapped = WireRequest::Traced {
+        trace: 0x7ACE,
+        parent: 1,
+        inner: Box::new(op),
+    };
+    assert_eq!(ask(&wrapped.encode()), bare);
+
+    match ask(&[0xEE, 1, 2, 3]) {
+        WireResponse::Error { code, message } => {
+            assert_eq!(code, ServiceError::BadRequest(String::new()).code());
+            assert!(message.starts_with("malformed request"), "{message:?}");
+        }
+        other => panic!("expected a malformed-request error, got {other:?}"),
+    }
+    assert_eq!(ask(&WireRequest::Ping.encode()), WireResponse::Pong);
+}
+
+/// The service's `Server` and the cluster's `RouterServer` are one front:
+/// both pass the same conformance checks, traced and untraced.
+#[test]
+fn server_and_router_fronts_conform_alike() {
+    for traced in [false, true] {
+        let tracer = traced.then(|| {
+            Tracer::new(TraceConfig {
+                sample_one_in: 1,
+                seed: 0xF407,
+                capacity: 1 << 12,
+                deterministic: true,
+            })
+        });
+        let metrics = Arc::new(Metrics::default());
+        let registry = Arc::new(Registry::new(Arc::clone(&metrics)));
+        let engine =
+            Engine::new_traced(selftest::engine_config(), registry, metrics, tracer.clone());
+        let mut server = Server::start(engine.clone(), "127.0.0.1:0").expect("backend start");
+        let router = Arc::new(Router::new_traced(
+            &[server.addr()],
+            ClusterConfig::default(),
+            tracer,
+        ));
+        let mut front = RouterServer::start(Arc::clone(&router), "127.0.0.1:0").expect("front");
+        router
+            .publish("d", &[b"ana".to_vec(), b"nan".to_vec()])
+            .expect("publish");
+
+        assert_front_conforms(server.addr(), traced);
+        assert_front_conforms(front.addr(), traced);
+
+        front.stop();
+        router.shutdown();
+        server.stop();
+        engine.shutdown();
+    }
 }
