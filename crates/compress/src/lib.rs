@@ -46,7 +46,7 @@ pub use lz1::{
 pub use lz78::{lz78_compress, lz78_decompress, Lz78Token};
 pub use static_parse::{bfs_parse, greedy_parse, lff_parse, optimal_parse, Parse, Phrase};
 pub use tokens::{
-    decode_naive, decode_tokens, decode_tokens_from, encode_tokens, encoded_size, DecodeError,
-    Token,
+    copy_decode, decode_naive, decode_tokens, decode_tokens_from, encode_tokens, encoded_size,
+    DecodeError, Token,
 };
 pub use window::lz77_windowed;

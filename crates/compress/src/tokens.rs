@@ -161,22 +161,55 @@ pub fn decode_tokens_from(data: &[u8], origin: usize) -> Result<Vec<Token>, Deco
     Ok(out)
 }
 
-/// Reference sequential decoder (oracle for the parallel one).
+/// Sequential copy-loop LZ1 decode, bounded by the expected output size:
+/// the serving-lane decoder (work = depth = output bytes), where
+/// [`crate::lz1_decompress`] is the Theorem 4.3 paper lane.
+///
+/// Returns `None` — before allocating anything — when the tokens do not
+/// expand to exactly `raw_len` bytes, and `None` when a copy reads bytes
+/// not yet written. The output buffer never holds more than `raw_len`
+/// bytes, whatever lengths the tokens claim.
 #[must_use]
-pub fn decode_naive(tokens: &[Token]) -> Vec<u8> {
-    let mut out = Vec::new();
+pub fn copy_decode(tokens: &[Token], raw_len: usize) -> Option<Vec<u8>> {
+    let claimed = tokens
+        .iter()
+        .try_fold(0u64, |acc, t| acc.checked_add(t.expanded_len() as u64))?;
+    if claimed != raw_len as u64 {
+        return None;
+    }
+    let mut out = Vec::with_capacity(raw_len);
     for t in tokens {
         match *t {
             Token::Literal(c) => out.push(c),
             Token::Copy { src, len } => {
-                for k in 0..len as usize {
-                    let c = out[src as usize + k];
-                    out.push(c);
+                let src = src as usize;
+                if src >= out.len() {
+                    return None;
+                }
+                // A self-overlapping copy repeats `out[src..]` with period
+                // `dst − src`; each pass at least doubles the bytes that
+                // are already in place, so overlaps cost O(log len) calls.
+                let mut left = len as usize;
+                while left > 0 {
+                    let n = left.min(out.len() - src);
+                    out.extend_from_within(src..src + n);
+                    left -= n;
                 }
             }
         }
     }
-    out
+    Some(out)
+}
+
+/// Reference sequential decoder (oracle for the parallel one): the
+/// [`copy_decode`] loop sized by the tokens themselves.
+///
+/// # Panics
+/// When a copy references bytes not yet written.
+#[must_use]
+pub fn decode_naive(tokens: &[Token]) -> Vec<u8> {
+    let len = tokens.iter().map(Token::expanded_len).sum();
+    copy_decode(tokens, len).expect("copy references bytes not yet written")
 }
 
 #[cfg(test)]

@@ -18,6 +18,9 @@ pub struct AhoCorasick {
     out: Vec<Option<Match>>,
     /// Output link: deepest proper suffix state with an output.
     out_link: Vec<u32>,
+    /// Next larger id with the same pattern text (`u32::MAX` ends the
+    /// chain), so [`AhoCorasick::find_all`] reports duplicates too.
+    dup_next: Vec<u32>,
 }
 
 const ROOT: u32 = 0;
@@ -30,6 +33,9 @@ impl AhoCorasick {
         let mut goto_: Vec<[u32; 256]> = vec![[u32::MAX; 256]];
         let mut out: Vec<Option<Match>> = vec![None];
         let mut depth: Vec<u32> = vec![0];
+        let mut dup_next = vec![u32::MAX; dict.num_patterns()];
+        // Last id in each state's duplicate chain (build-time only).
+        let mut dup_tail: Vec<u32> = vec![u32::MAX];
 
         // Trie phase.
         for (t, p) in dict.patterns().iter().enumerate() {
@@ -39,6 +45,7 @@ impl AhoCorasick {
                 s = if nxt == u32::MAX {
                     goto_.push([u32::MAX; 256]);
                     out.push(None);
+                    dup_tail.push(u32::MAX);
                     depth.push(depth[s as usize] + 1);
                     let ns = (goto_.len() - 1) as u32;
                     goto_[s as usize][c as usize] = ns;
@@ -51,10 +58,14 @@ impl AhoCorasick {
                 id: t as u32,
                 len: p.len() as u32,
             };
-            // Identical patterns share a state; keep the smallest id.
+            // Identical patterns share a state; keep the smallest id and
+            // chain the rest behind it in id order.
             if out[s as usize].is_none() {
                 out[s as usize] = Some(m);
+            } else {
+                dup_next[dup_tail[s as usize] as usize] = m.id;
             }
+            dup_tail[s as usize] = m.id;
         }
 
         // BFS phase: fail links, completed goto, output links.
@@ -93,6 +104,7 @@ impl AhoCorasick {
             goto_,
             out,
             out_link,
+            dup_next,
         }
     }
 
@@ -125,6 +137,35 @@ impl AhoCorasick {
             }
         }
         Matches::new(best)
+    }
+
+    /// Every occurrence of every pattern as `(position, match)`, ordered
+    /// by position, then decreasing length, then id; identical patterns
+    /// are each reported. Sequential and exact: one automaton step per
+    /// byte plus `O(occ log occ)` to order the hits by start.
+    #[must_use]
+    pub fn find_all(&self, text: &[u8]) -> Vec<(usize, Match)> {
+        let mut hits = Vec::new();
+        let mut s = ROOT;
+        for (e, &c) in text.iter().enumerate() {
+            s = self.goto_[s as usize][c as usize];
+            // The root never carries an output (patterns are non-empty),
+            // so the output chain ends there.
+            let mut v = s;
+            while v != ROOT {
+                if let Some(m) = self.out[v as usize] {
+                    let start = e + 1 - m.len as usize;
+                    let mut id = m.id;
+                    while id != u32::MAX {
+                        hits.push((start, Match { id, len: m.len }));
+                        id = self.dup_next[id as usize];
+                    }
+                }
+                v = self.out_link[v as usize];
+            }
+        }
+        hits.sort_unstable_by_key(|&(i, m)| (i, std::cmp::Reverse(m.len), m.id));
+        hits
     }
 
     /// Number of automaton states.
@@ -212,6 +253,28 @@ mod tests {
                 "seed={seed}"
             );
         }
+    }
+
+    #[test]
+    fn find_all_reports_every_occurrence_and_duplicates_in_order() {
+        let d = Dictionary::new(vec![
+            b"he".to_vec(),
+            b"she".to_vec(),
+            b"hers".to_vec(),
+            b"he".to_vec(),
+            b"e".to_vec(),
+        ]);
+        let ac = AhoCorasick::build(&d);
+        let got: Vec<(usize, u32, u32)> = ac
+            .find_all(b"ushers")
+            .into_iter()
+            .map(|(i, m)| (i, m.len, m.id))
+            .collect();
+        assert_eq!(
+            got,
+            vec![(1, 3, 1), (2, 4, 2), (2, 2, 0), (2, 2, 3), (3, 1, 4)]
+        );
+        assert!(ac.find_all(b"").is_empty());
     }
 
     #[test]

@@ -503,6 +503,30 @@ impl SegmentedMatcher {
         Matches::new(acc)
     }
 
+    /// Every occurrence as `(position, match)` with global ids, ordered
+    /// like [`SegmentedMatcher::find_all`], from the per-segment automata
+    /// (the sequential lane; exact).
+    #[must_use]
+    pub fn ac_find_all(&self, text: &[u8]) -> Vec<(usize, Match)> {
+        if let Some(seg) = self.single() {
+            return seg.ac().find_all(text);
+        }
+        let mut out: Vec<(usize, Match)> = Vec::new();
+        for slot in &self.slots {
+            out.extend(slot.seg.ac().find_all(text).into_iter().map(|(i, m)| {
+                (
+                    i,
+                    Match {
+                        id: m.id + slot.base,
+                        len: m.len,
+                    },
+                )
+            }));
+        }
+        out.sort_unstable_by_key(|&(i, m)| (i, std::cmp::Reverse(m.len), m.id));
+        out
+    }
+
     /// Every occurrence as `(position, match)` with global ids, ordered by
     /// position, then decreasing length, then id. Monte Carlo like
     /// [`DictMatcher::find_all`].
@@ -609,6 +633,10 @@ pub trait PatternScan {
     fn match_text(&self, pram: &Pram, text: &[u8]) -> Matches;
     /// Every occurrence as `(position, match)`.
     fn find_all(&self, pram: &Pram, text: &[u8]) -> Vec<(usize, Match)>;
+    /// Every occurrence as `(position, match)`, ordered by position, then
+    /// decreasing length, then id — by the cheapest scan the matcher
+    /// holds. The serving lane of compressed-domain grep.
+    fn scan_all(&self, pram: &Pram, text: &[u8]) -> Vec<(usize, Match)>;
     /// Per-position longest pattern-prefix `(len, certificate id)`.
     fn pattern_prefixes(&self, pram: &Pram, text: &[u8]) -> Vec<Option<(u32, u32)>>;
     /// Length of the longest pattern.
@@ -621,6 +649,11 @@ impl PatternScan for DictMatcher {
     }
 
     fn find_all(&self, pram: &Pram, text: &[u8]) -> Vec<(usize, Match)> {
+        Self::find_all(self, pram, text)
+    }
+
+    /// No automaton here: Theorem 3.1 [`DictMatcher::find_all`].
+    fn scan_all(&self, pram: &Pram, text: &[u8]) -> Vec<(usize, Match)> {
         Self::find_all(self, pram, text)
     }
 
@@ -640,6 +673,13 @@ impl PatternScan for SegmentedMatcher {
 
     fn find_all(&self, pram: &Pram, text: &[u8]) -> Vec<(usize, Match)> {
         Self::find_all(self, pram, text)
+    }
+
+    /// The per-segment automata ([`SegmentedMatcher::ac_find_all`]),
+    /// charged work = depth = bytes like the engine's sequential lane.
+    fn scan_all(&self, pram: &Pram, text: &[u8]) -> Vec<(usize, Match)> {
+        pram.ledger().sequential(text.len() as u64);
+        self.ac_find_all(text)
     }
 
     fn pattern_prefixes(&self, pram: &Pram, text: &[u8]) -> Vec<Option<(u32, u32)>> {

@@ -83,6 +83,14 @@ impl Ledger {
         self.charge_depth(1);
     }
 
+    /// A sequential pass of `n` steps on one processor: `n` work and `n`
+    /// depth (how the sequential baselines are charged when they serve).
+    #[inline]
+    pub fn sequential(&self, n: u64) {
+        self.charge_work(n);
+        self.charge_depth(n);
+    }
+
     /// Current accumulated cost.
     #[inline]
     pub fn cost(&self) -> Cost {

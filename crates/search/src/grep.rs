@@ -128,11 +128,12 @@ struct SearchBuf {
     bytes: Vec<u8>,
 }
 
-/// Match one stitched search buffer on a private sequential context —
-/// slot function of the match super-step.
+/// Match one stitched search buffer on a private sequential context with
+/// the matcher's serving-lane scan — slot function of the match
+/// super-step.
 fn match_buf<M: PatternScan>(matcher: &M, b: &SearchBuf) -> (Vec<GrepHit>, Cost) {
     let p = Pram::seq();
-    let (occs, cost) = p.metered(|p| matcher.find_all(p, &b.bytes));
+    let (occs, cost) = p.metered(|p| matcher.scan_all(p, &b.bytes));
     let hits = occs
         .into_iter()
         .map(|(pos, m)| GrepHit {
@@ -151,9 +152,9 @@ fn match_buf<M: PatternScan>(matcher: &M, b: &SearchBuf) -> (Vec<GrepHit>, Cost)
 /// Report every dictionary occurrence in the container's decoded stream,
 /// without materializing that stream.
 ///
-/// Equivalent to decompressing and running [`DictMatcher::find_all`], but
-/// with at most one wave of blocks resident; see the crate docs for the
-/// stitching and accounting scheme.
+/// Equivalent to decompressing and running `find_all`, but with at most
+/// one wave of blocks resident; see the crate docs for the stitching,
+/// lanes and accounting.
 ///
 /// # Errors
 /// Structural container failures always abort; block-local corruption

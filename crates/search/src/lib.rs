@@ -34,6 +34,18 @@
 //! only the covering blocks plus overlap — both properties the tests
 //! assert through the ledger.
 //!
+//! Both per-block kernels are the **serving lane**: a bounded sequential
+//! copy loop decodes each block (`pardict_compress::copy_decode`), and an
+//! exact Aho–Corasick pass over the matcher's automata scans each stitched
+//! buffer ([`pardict_core::PatternScan::scan_all`]; a bare
+//! [`DictMatcher`] holds no automaton and scans with Theorem 3.1
+//! `find_all`). Each kernel charges what ran: work = depth = bytes. The
+//! Theorem 4.3 decoder and Theorem 3.1 `find_all` stay the **paper lane**,
+//! measured by the E5/E12 tables and kept as the oracles the tests and the
+//! benchmark check this crate against. Lanes never change hits, issues or
+//! `blocks_searched`, and the ledger stays identical across `Pram::seq` /
+//! `Pram::par` and barrier / pipelined schedules.
+//!
 //! Corrupt blocks are skipped and reported ([`pardict_stream::BlockIssue`])
 //! with matches suppressed only in the affected span; [`GrepConfig::strict`]
 //! turns the first corrupt block into a hard error instead.

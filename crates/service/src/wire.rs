@@ -97,7 +97,9 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     Ok(Some(buf))
 }
 
-/// Write one frame.
+/// Write one frame: prefix and payload leave in a single write, so a
+/// socket never holds back the payload behind a lone 4-byte segment
+/// (Nagle plus delayed ACK would stall that by tens of milliseconds).
 ///
 /// # Errors
 /// I/O errors or a payload larger than [`MAX_FRAME`].
@@ -106,8 +108,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
         .ok()
         .filter(|&l| l <= MAX_FRAME)
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "frame too large"))?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -921,6 +925,35 @@ mod tests {
             "read offered a {}-byte slice",
             r.largest
         );
+    }
+
+    /// Accepts every byte offered and counts the `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        data: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.data.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_leaves_in_one_write_call() {
+        for payload in [&b""[..], b"ping", &[7u8; 300 * 1024]] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.writes, 1, "{}-byte payload", payload.len());
+            assert_eq!(read_frame(&mut &w.data[..]).unwrap().unwrap(), payload);
+        }
     }
 
     #[test]

@@ -9,8 +9,7 @@ use crate::format::{
     END_OF_BLOCKS, FOOTER_ENTRY_LEN, HEADER_LEN, METHOD_LZ1, METHOD_STORED, RECORD_HEADER_LEN,
     TRAILER_LEN,
 };
-use crate::writer::STREAM_SEED;
-use pardict_compress::{decode_tokens, lz1_decompress};
+use pardict_compress::{copy_decode, decode_tokens};
 use pardict_core::crc32;
 use pardict_pram::{Cost, Pram};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -60,12 +59,13 @@ fn decode_payload(
         }
         METHOD_LZ1 => {
             let tokens = decode_tokens(&payload).map_err(|_| issue(IssueKind::BadTokens))?;
-            let out = lz1_decompress(pram, &tokens, STREAM_SEED ^ index);
-            if out.len() as u64 == u64::from(raw_len) {
-                Ok(out)
-            } else {
-                Err(issue(IssueKind::LengthMismatch))
-            }
+            // The sequential serving lane: tokens claiming any length but
+            // `raw_len` are refused before a byte is allocated. Charged
+            // work = depth = bytes, the cost of the copy loop that ran.
+            let out = copy_decode(&tokens, raw_len as usize)
+                .ok_or_else(|| issue(IssueKind::LengthMismatch))?;
+            pram.ledger().sequential(out.len() as u64);
+            Ok(out)
         }
         _ => Err(issue(IssueKind::BadMethod)),
     }
@@ -813,6 +813,55 @@ mod tests {
         let mut strict = StreamDecompressor::new(&pram, &packed[..]).strict();
         let mut sink = Vec::new();
         assert!(std::io::copy(&mut strict, &mut sink).is_err());
+    }
+
+    /// A valid-CRC LZ1 payload whose copy claims 2^28 bytes for a 3-byte
+    /// block must be refused as a length mismatch without expanding the
+    /// copy: a decoder sized by the claim would need gigabytes for it.
+    #[test]
+    fn hostile_copy_length_is_refused_without_expanding() {
+        use pardict_compress::{encode_tokens, Token};
+        let payload = encode_tokens(&[
+            Token::Literal(b'a'),
+            Token::Literal(b'b'),
+            Token::Copy {
+                src: 0,
+                len: 1 << 28,
+            },
+        ]);
+        assert_eq!(payload.len(), 11);
+        let entry = BlockEntry {
+            offset: HEADER_LEN as u64,
+            raw_len: 3,
+            comp_len: payload.len() as u32,
+            crc: crc32(&payload),
+            method: METHOD_LZ1,
+        };
+        let pram = Pram::seq();
+        let issue = decode_block(&pram, 0, &entry, payload).unwrap_err();
+        assert_eq!(issue.kind, IssueKind::LengthMismatch);
+        assert_eq!((issue.index, issue.raw_len), (0, 3));
+
+        // Claims short of `raw_len` are refused the same way, and the
+        // exact claim decodes through the overlapping copy.
+        for (len, want) in [(0u32, None), (1, Some(&b"aba"[..]))] {
+            let tokens = [Token::Literal(b'a'), Token::Literal(b'b')];
+            let mut tokens = tokens.to_vec();
+            if len > 0 {
+                tokens.push(Token::Copy { src: 0, len });
+            }
+            let payload = encode_tokens(&tokens);
+            let entry = BlockEntry {
+                comp_len: payload.len() as u32,
+                crc: crc32(&payload),
+                ..entry
+            };
+            let got = decode_block(&pram, 0, &entry, payload);
+            match want {
+                Some(bytes) => assert_eq!(got.unwrap(), bytes),
+                None => assert_eq!(got.unwrap_err().kind, IssueKind::LengthMismatch),
+            }
+        }
     }
 
     #[test]

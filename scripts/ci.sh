@@ -197,4 +197,12 @@ echo "== perfbench build + unit tests"
 # catches API changes (Server, RouterServer, Client) that would break it.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "== perfbench all-workload smoke"
+# Two seconds of every workload. Each reply is checked against an
+# independent oracle (container grep against the Theorem 3.1 find_all,
+# serving and cluster replies over real sockets), so a wrong serving-lane
+# kernel or a broken frame exits nonzero here.
+cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+  --workload all --seed 1 --seconds 2 --trace 0 > "$SMOKE/perfbench.txt"
+
 echo "ci.sh: all green"

@@ -4,6 +4,8 @@
 //! ledger charges for range queries and the skip-and-report corruption
 //! contract.
 
+use pardict::core::segmented::{pattern_identity, SEGMENT_TARGET, SINGLE_SEGMENT_MAX};
+use pardict::core::{PatternScan, SegmentedMatcher};
 use pardict::prelude::*;
 use pardict::stream;
 use pardict::workloads::markov_text;
@@ -120,44 +122,203 @@ proptest! {
         wave in 1usize..5,
         corrupt in 0usize..10_000,
     ) {
-        let dict = Dictionary::new(pats);
         let build = Pram::seq();
-        let matcher = DictMatcher::build(&build, dict, 0xA11);
+        let segmented = SegmentedMatcher::build(&build, multi_segment(&pats));
+        prop_assert!(segmented.num_segments() >= 2);
+        let matcher = DictMatcher::build(&build, Dictionary::new(pats), 0xA11);
         let mut packed = pack(&text, block_size);
         // Half the cases flip one payload byte of an arbitrary block: both
         // schedules must report the same issues and skip the same spans.
         if corrupt % 2 == 1 {
-            let c = corrupt / 2;
-            let rdr = StreamReader::open(std::io::Cursor::new(&packed)).unwrap();
-            let entries = rdr.index().entries.clone();
-            let e = entries[c % entries.len()];
-            if e.comp_len > 0 {
-                packed[e.offset as usize + stream::format::RECORD_HEADER_LEN] ^= 0x04;
-            }
+            flip_payload_byte(&mut packed, corrupt / 2);
         }
 
-        let run = |pram: &Pram, pipeline: bool| {
-            let cfg = GrepConfig { wave, strict: false, pipeline };
-            let mut rdr = StreamReader::open(std::io::Cursor::new(&packed)).unwrap();
-            pram.metered(|p| grep_container(p, &matcher, &mut rdr, &cfg).unwrap())
-        };
-        let (seq_b, seq_b_cost) = run(&Pram::seq(), false);
-        let (seq_p, seq_p_cost) = run(&Pram::seq(), true);
-        let (par_b, par_b_cost) = run(&Pram::par(), false);
-        let (par_p, par_p_cost) = run(&Pram::par(), true);
-
-        prop_assert_eq!(&seq_p.hits, &seq_b.hits);
-        prop_assert_eq!(&par_b.hits, &seq_b.hits);
-        prop_assert_eq!(&par_p.hits, &seq_b.hits);
-        prop_assert_eq!(&seq_p.issues, &seq_b.issues);
-        prop_assert_eq!(&par_b.issues, &seq_b.issues);
-        prop_assert_eq!(&par_p.issues, &seq_b.issues);
-        prop_assert_eq!(seq_p.blocks_searched, seq_b.blocks_searched);
-        prop_assert_eq!(par_p.blocks_searched, seq_b.blocks_searched);
-        prop_assert_eq!(seq_p_cost, seq_b_cost, "pipelining must not change the ledger");
-        prop_assert_eq!(par_b_cost, seq_b_cost, "mode must not change the ledger");
-        prop_assert_eq!(par_p_cost, seq_b_cost);
+        schedules_agree(&matcher, &packed, wave);
+        schedules_agree(&segmented, &packed, wave);
     }
+
+    /// The exact automaton scan reports every occurrence — duplicate
+    /// patterns included — in position, decreasing-length, id order, equal
+    /// to brute force and to the Theorem 3.1 `find_all`.
+    #[test]
+    fn aho_corasick_find_all_equals_brute_force_and_find_all(
+        text in prop::collection::vec(prop::sample::select(vec![b'a', b'b', b'c']), 0..300),
+        pats in prop::collection::vec(
+            prop::collection::vec(prop::sample::select(vec![b'a', b'b', b'c']), 1..6),
+            1..12,
+        ),
+        seed in 0u64..1000,
+    ) {
+        let dict = Dictionary::new(pats);
+        let want = brute_force_all(dict.patterns(), &text);
+        let got = AhoCorasick::build(&dict).find_all(&text);
+        prop_assert_eq!(&got, &want);
+        let pram = Pram::seq();
+        let mut paper = DictMatcher::build(&pram, dict, seed).find_all(&pram, &text);
+        sort_canonical(&mut paper);
+        prop_assert_eq!(&paper, &want);
+    }
+
+    /// Container grep on the serving lane (copy-loop decode, per-segment
+    /// automata) over a multi-segment dictionary with duplicates in
+    /// different segments: on clean containers its hits equal
+    /// `SegmentedMatcher::find_all` over the raw text; on every container,
+    /// corrupted ones included, hits, issues and `blocks_searched` equal
+    /// the same grep matching with the paper-lane `find_all`.
+    #[test]
+    fn segmented_grep_equals_find_all_over_raw_text(
+        text in prop::collection::vec(prop::sample::select(vec![b'a', b'b', b'c', b'd']), 0..600),
+        pats in prop::collection::vec(
+            prop::collection::vec(prop::sample::select(vec![b'a', b'b', b'c', b'd']), 1..8),
+            1..6,
+        ),
+        block_size in 1usize..48,
+        corrupt in 0usize..10_000,
+    ) {
+        let pram = Pram::seq();
+        let matcher = SegmentedMatcher::build(&pram, multi_segment(&pats));
+        prop_assert!(matcher.num_segments() >= 2);
+        let mut packed = pack(&text, block_size);
+        let clean = corrupt % 2 == 0 || !flip_payload_byte(&mut packed, corrupt / 2);
+
+        let served = grep_with(&matcher, &packed);
+        let paper = grep_with(&PaperLane(&matcher), &packed);
+        prop_assert_eq!(&served.hits, &paper.hits);
+        prop_assert_eq!(&served.issues, &paper.issues);
+        prop_assert_eq!(served.blocks_searched, paper.blocks_searched);
+        if clean {
+            let raw: Vec<(usize, Match)> = served
+                .hits
+                .iter()
+                .map(|h| (h.pos as usize, Match { id: h.id, len: h.len }))
+                .collect();
+            prop_assert_eq!(raw, matcher.find_all(&pram, &text));
+            prop_assert!(served.issues.is_empty());
+            prop_assert_eq!(served.blocks_searched, text.len().div_ceil(block_size) as u64);
+        }
+    }
+}
+
+/// A default-config `grep_container` over `packed`.
+fn grep_with<M: PatternScan + Sync>(matcher: &M, packed: &[u8]) -> GrepSummary {
+    let mut rdr = StreamReader::open(std::io::Cursor::new(packed)).unwrap();
+    grep_container(&Pram::seq(), matcher, &mut rdr, &GrepConfig::default()).unwrap()
+}
+
+/// Pipelined and barrier grep, under `Pram::seq` and `Pram::par`, return
+/// identical hits, issues, block counts and ledger costs.
+fn schedules_agree<M: PatternScan + Sync>(matcher: &M, packed: &[u8], wave: usize) {
+    let run = |pram: &Pram, pipeline: bool| {
+        let cfg = GrepConfig {
+            wave,
+            strict: false,
+            pipeline,
+        };
+        let mut rdr = StreamReader::open(std::io::Cursor::new(packed)).unwrap();
+        pram.metered(|p| grep_container(p, matcher, &mut rdr, &cfg).unwrap())
+    };
+    let (seq_b, seq_b_cost) = run(&Pram::seq(), false);
+    let (seq_p, seq_p_cost) = run(&Pram::seq(), true);
+    let (par_b, par_b_cost) = run(&Pram::par(), false);
+    let (par_p, par_p_cost) = run(&Pram::par(), true);
+
+    assert_eq!(&seq_p.hits, &seq_b.hits);
+    assert_eq!(&par_b.hits, &seq_b.hits);
+    assert_eq!(&par_p.hits, &seq_b.hits);
+    assert_eq!(&seq_p.issues, &seq_b.issues);
+    assert_eq!(&par_b.issues, &seq_b.issues);
+    assert_eq!(&par_p.issues, &seq_b.issues);
+    assert_eq!(seq_p.blocks_searched, seq_b.blocks_searched);
+    assert_eq!(par_p.blocks_searched, seq_b.blocks_searched);
+    assert_eq!(
+        seq_p_cost, seq_b_cost,
+        "pipelining must not change the ledger"
+    );
+    assert_eq!(par_b_cost, seq_b_cost, "mode must not change the ledger");
+    assert_eq!(par_p_cost, seq_b_cost);
+}
+
+/// Flip one payload byte of block `c % blocks` (its CRC then fails);
+/// false when that block has no payload byte to flip.
+fn flip_payload_byte(packed: &mut [u8], c: usize) -> bool {
+    let rdr = StreamReader::open(std::io::Cursor::new(&packed[..])).unwrap();
+    let entries = rdr.index().entries.clone();
+    let e = entries[c % entries.len()];
+    if e.comp_len == 0 {
+        return false;
+    }
+    packed[e.offset as usize + stream::format::RECORD_HEADER_LEN] ^= 0x04;
+    true
+}
+
+/// A pattern whose identity cuts a segment after it (see
+/// `segmented::segment_spans`): the first such 6-byte string over abcd.
+fn boundary_pattern() -> Vec<u8> {
+    (0u32..1 << 12)
+        .map(|n| {
+            (0..6)
+                .map(|k| b"abcd"[(n >> (2 * k)) as usize & 3])
+                .collect()
+        })
+        .find(|p: &Vec<u8>| pattern_identity(p).is_multiple_of(SEGMENT_TARGET))
+        .expect("a 6-byte boundary pattern over abcd")
+}
+
+/// `pats` grown past the single-segment limit with a segment cut in the
+/// middle: `pats`, a boundary pattern, then `pats` again (duplicates of
+/// the first run, in a different segment) until there are enough.
+fn multi_segment(pats: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    let mut out = pats.to_vec();
+    out.push(boundary_pattern());
+    while out.len() <= SINGLE_SEGMENT_MAX + 1 {
+        out.extend_from_slice(pats);
+    }
+    out
+}
+
+/// Matches with the paper-lane `find_all` instead of the automata.
+struct PaperLane<'a>(&'a SegmentedMatcher);
+
+impl PatternScan for PaperLane<'_> {
+    fn match_text(&self, pram: &Pram, text: &[u8]) -> Matches {
+        self.0.match_text(pram, text)
+    }
+
+    fn find_all(&self, pram: &Pram, text: &[u8]) -> Vec<(usize, Match)> {
+        self.0.find_all(pram, text)
+    }
+
+    fn scan_all(&self, pram: &Pram, text: &[u8]) -> Vec<(usize, Match)> {
+        self.0.find_all(pram, text)
+    }
+
+    fn pattern_prefixes(&self, pram: &Pram, text: &[u8]) -> Vec<Option<(u32, u32)>> {
+        self.0.pattern_prefixes(pram, text)
+    }
+
+    fn max_pattern_len(&self) -> usize {
+        self.0.max_pattern_len()
+    }
+}
+
+/// Every occurrence by direct comparison, in canonical order.
+fn brute_force_all(patterns: &[Vec<u8>], text: &[u8]) -> Vec<(usize, Match)> {
+    let mut out = Vec::new();
+    for i in 0..text.len() {
+        for (id, p) in patterns.iter().enumerate() {
+            if text[i..].starts_with(p) {
+                let len = p.len() as u32;
+                out.push((i, Match { id: id as u32, len }));
+            }
+        }
+    }
+    sort_canonical(&mut out);
+    out
+}
+
+/// Position, then decreasing length, then id.
+fn sort_canonical(hits: &mut [(usize, Match)]) {
+    hits.sort_by_key(|&(i, m)| (i, std::cmp::Reverse(m.len), m.id));
 }
 
 /// A pattern longer than two whole blocks must still be found: its

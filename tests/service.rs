@@ -407,3 +407,69 @@ proptest! {
         engine.shutdown();
     }
 }
+
+// ---- hostile container payloads over the wire ----
+
+/// A `grepz` carrying a block whose valid-CRC LZ1 tokens claim a 2^28-byte
+/// copy for a 3-byte block is answered with that block in
+/// `corrupt_blocks` (the intact block's hits kept), and the same
+/// connection goes on serving.
+#[test]
+fn grepz_refuses_a_hostile_copy_length_and_the_connection_survives() {
+    use pardict::compress::{encode_tokens, Token};
+    use pardict::service::wire::{tag, WireResponse};
+    use pardict::service::{Client, Server};
+    use pardict::stream::{assemble_container, RecordHeader, METHOD_LZ1};
+
+    let lz1 = |tokens: &[Token], raw_len: u32| {
+        let payload = encode_tokens(tokens);
+        let header = RecordHeader {
+            method: METHOD_LZ1,
+            raw_len,
+            comp_len: payload.len() as u32,
+            crc: pardict::core::crc32(&payload),
+        };
+        (header, payload)
+    };
+    let (a, b) = (Token::Literal(b'a'), Token::Literal(b'b'));
+    let good = lz1(&[a, b, Token::Copy { src: 0, len: 2 }], 4); // "abab"
+    let hostile = lz1(
+        &[
+            a,
+            b,
+            Token::Copy {
+                src: 0,
+                len: 1 << 28,
+            },
+        ],
+        3,
+    );
+    let container = assemble_container(4, &[(good.0, &good.1), (hostile.0, &hostile.1)]);
+
+    let engine = inline_engine(16);
+    let mut server = Server::start(engine.clone(), "127.0.0.1:0").expect("server start");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    client
+        .publish("d", vec![b"ab".to_vec()])
+        .expect("publish transport")
+        .expect("publish");
+    match client
+        .op(tag::GREPZ, "d", &container, 0)
+        .expect("grepz transport")
+        .expect("grepz reply")
+    {
+        WireResponse::ContainerHits {
+            hits,
+            corrupt_blocks,
+            ..
+        } => {
+            assert_eq!(corrupt_blocks, vec![1]);
+            let got: Vec<(u64, u32)> = hits.iter().map(|h| (h.pos, h.len)).collect();
+            assert_eq!(got, vec![(0, 2), (2, 2)]);
+        }
+        other => panic!("unexpected reply {other:?}"),
+    }
+    client.ping().expect("connection must still answer Ping");
+    server.stop();
+    engine.shutdown();
+}

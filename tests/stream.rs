@@ -133,6 +133,70 @@ proptest! {
     }
 }
 
+/// Build a valid token stream from arbitrary phrase choices: copies read
+/// only bytes already written, and a copy longer than its distance
+/// overlaps itself. Returns the tokens and their expanded length.
+fn valid_tokens(phrases: &[(bool, u32, u32, u8)]) -> (Vec<Token>, usize) {
+    let mut tokens = Vec::new();
+    let mut expanded = 0u32;
+    for &(is_copy, src_frac, len, byte) in phrases {
+        if is_copy && expanded > 0 {
+            let src = expanded - 1 - src_frac % expanded;
+            tokens.push(Token::Copy { src, len });
+            expanded += len;
+        } else {
+            tokens.push(Token::Literal(byte));
+            expanded += 1;
+        }
+    }
+    (tokens, expanded as usize)
+}
+
+proptest! {
+    /// The serving-lane decoder (one bounded copy loop) agrees with the
+    /// Theorem 4.3 paper lane and the reference decoder on every valid
+    /// token stream, self-overlapping copies included — directly and
+    /// through `decode_block` — and every claimed length other than the
+    /// true expansion is refused as a length mismatch.
+    #[test]
+    fn copy_loop_equals_paper_lane_and_refuses_wrong_lengths(
+        phrases in prop::collection::vec((any::<bool>(), 0u32..64, 1u32..40, any::<u8>()), 0..60),
+        off in 1usize..100,
+        seed in 0u64..1000,
+    ) {
+        use pardict::compress::{copy_decode, decode_naive, encode_tokens};
+        use pardict::stream::{decode_block, format::BlockEntry, IssueKind, METHOD_LZ1};
+        let (tokens, n) = valid_tokens(&phrases);
+        let pram = Pram::seq();
+        let paper = lz1_decompress(&pram, &tokens, seed);
+        prop_assert_eq!(paper.len(), n);
+        prop_assert_eq!(&decode_naive(&tokens), &paper);
+        prop_assert_eq!(copy_decode(&tokens, n).as_ref(), Some(&paper));
+
+        let payload = encode_tokens(&tokens);
+        let entry = |raw_len: usize| BlockEntry {
+            offset: 0,
+            raw_len: raw_len as u32,
+            comp_len: payload.len() as u32,
+            crc: pardict::core::crc32(&payload),
+            method: METHOD_LZ1,
+        };
+        let (got, cost) = pram.metered(|p| decode_block(p, 0, &entry(n), payload.clone()));
+        prop_assert_eq!(got.unwrap(), paper);
+        // Checksum pass plus one copy loop: both linear in the block.
+        prop_assert_eq!(cost.work, (payload.len() + n) as u64);
+
+        for wrong in [n + off, n.saturating_sub(off)] {
+            if wrong == n {
+                continue;
+            }
+            prop_assert!(copy_decode(&tokens, wrong).is_none());
+            let issue = decode_block(&pram, 0, &entry(wrong), payload.clone()).unwrap_err();
+            prop_assert_eq!(issue.kind, IssueKind::LengthMismatch);
+        }
+    }
+}
+
 /// A flip inside one specific block's payload must name that block.
 #[test]
 fn payload_flip_reports_the_exact_block() {
